@@ -1,6 +1,6 @@
 """Substrate performance suite: the repo's recorded perf trajectory.
 
-Ten workload families time the hot paths the fast lanes optimize (see
+Eight workload families time the hot paths the fast lanes optimize (see
 docs/PERFORMANCE.md):
 
 * **kernel_throughput** -- raw event dispatch rate (events/sec) of the
@@ -13,7 +13,7 @@ docs/PERFORMANCE.md):
   the two lanes are digest-checked for exact ``(time, priority, seq)``
   equality over several seeds;
 * **metro_flagship** -- the metro-scale tier: a full n = 10 000 sparse-
-  topology, delta-refresh, batched end-to-end scenario (paper density,
+  topology, batched end-to-end scenario (paper density,
   area scaled with sqrt(n)) run on both queue lanes;
 * **broadcast_fanout** -- a flood-heavy static MANET (fixed 100 m x
   100 m area, so density and fan-out grow with n) run on both delivery
@@ -29,23 +29,10 @@ docs/PERFORMANCE.md):
   ``events_dispatched`` reduction against the flood reference and its
   answer-rate delta (suppression must buy its event savings without
   losing answers), plus a capped metro rung;
-* **topology_refresh** -- a servent-shaped query mix (neighbor checks +
-  hot-source BFS) under paper random-waypoint mobility, run on the
-  incremental *delta* snapshot lane vs the *full*-rebuild reference
-  lane; every query answer is fingerprinted and must match between
-  lanes;
 * **metrics_kernels** -- the analytics bundle (components, clustering,
   characteristic path length) on the vectorized CSR kernels
   (``repro.metrics.graphfast``) vs the equivalent networkx algorithms,
   with exact agreement of every metric value required;
-* **analytics_plane** -- the :class:`~repro.metrics.analytics.AnalyticsEngine`
-  harvest under per-interval edge churn, incremental lane vs the
-  stateless full-recompute lane at two sizes; the headline figure is
-  the *growth* of the incremental lane's per-interval harvest cost
-  from the small size to the large one (target: flat, <= 1.3x from
-  n = 600 to n = 10 000), plus the parallel BFS lane's speedup on the
-  characteristic path length and exact harvest/CPL equality between
-  the incremental+parallel and full+serial lanes over several seeds;
 * **experiment_plane** -- the experiment orchestrator
   (:class:`~repro.experiments.executor.ExperimentExecutor` +
   :class:`~repro.experiments.cache.RunCache`) driving a figure ladder
@@ -87,15 +74,13 @@ from repro.experiments.cache import RunCache
 from repro.experiments.executor import ExperimentExecutor
 from repro.experiments.export import figure_result_to_json
 from repro.experiments.figures import figure_configs, run_figure
-from repro.metrics.analytics import AnalyticsEngine
 from repro.metrics.graphfast import (
     average_clustering,
     component_labels,
-    graph_csr,
     path_length_sums,
 )
 from repro.obs.registry import Registry
-from repro.mobility import Area, RandomWaypoint, Static
+from repro.mobility import Area, Static
 from repro.net import Channel, FloodManager, World
 from repro.obs.compare import semantic_snapshot, snapshot_diff
 from repro.obs.manifest import git_revision
@@ -118,13 +103,8 @@ __all__ = [
     "QUERY_PLANE_POLICIES",
     "bench_metro_flagship",
     "compare_metro_flagship",
-    "bench_topology_refresh",
-    "compare_topology_refresh",
-    "REFRESH_BENCH_LANES",
     "bench_metrics_kernels",
     "compare_metrics_kernels",
-    "bench_analytics_plane",
-    "compare_analytics_plane",
     "bench_experiment_plane",
     "compare_experiment_plane",
     "EXPERIMENT_PLANE_FIGURES",
@@ -508,7 +488,7 @@ def bench_metro_flagship(
     """Metro-scale flagship: full stack at n = 10 000 on one queue lane.
 
     Paper density (area scaled with sqrt(n)), sparse topology backend,
-    incremental delta refresh, batched delivery -- the production
+    batched delivery -- the production
     configuration every fast lane of the previous PRs feeds into.  The
     horizon is short (wall clock at this scale is minutes per simulated
     minute); ``sim_seconds_per_wall_second`` is the comparable figure.
@@ -557,7 +537,7 @@ def compare_metro_flagship(
     """Heap vs calendar lane at metro scale (full stack, one seed).
 
     At n = 10 000 the previous PRs' fast lanes (batching, sparse
-    topology, delta refresh) have already taken the scheduler off the
+    topology) have already taken the scheduler off the
     critical path, so the expected speedup here is ~1.0x -- the entry
     exists to prove the tier *completes* and to track its trajectory;
     the queue win itself is measured where queue cost dominates
@@ -730,151 +710,6 @@ def compare_query_plane(
     return out
 
 
-def _refresh_workload(
-    n: int, duration: float, seed: int, lane: str
-) -> Tuple[float, str, World]:
-    """Timed servent-shaped query mix on one topology-refresh lane.
-
-    Paper mobility (random waypoint, <= 1 m/s, long pauses) over a
-    paper-density area; the clock steps in 0.25 s quanta (the production
-    ``snapshot_interval``), and each quantum issues the query mix a
-    servent layer generates: a few ``neighbors()`` probes plus BFS
-    distance vectors from a small *hot* source set (connection
-    maintenance keeps asking about the same peers, which is what the
-    LRU distance cache and the adjacency epoch are for).  Every answer
-    is folded into a blake2b fingerprint so the predictive, delta and
-    full lanes can be checked for bit-identical query semantics.
-    """
-    side = 100.0 * math.sqrt(n / 50.0)
-    mobility = RandomWaypoint(
-        n,
-        Area(side, side),
-        np.random.default_rng(seed),
-        max_speed=1.0,
-        max_pause=100.0,
-    )
-    sim = Simulator()
-    world = World(
-        sim,
-        mobility,
-        radio_range=10.0,
-        snapshot_interval=0.25,
-        topology="sparse" if n >= 400 else "dense",
-        topology_refresh=lane,
-    )
-    hot = [int(h) % n for h in (0, n // 7, n // 3, 2 * n // 5, n // 2, 3 * n // 5, 3 * n // 4, n - 1)]
-    steps = int(round(duration / 0.25))
-    digest = hashlib.blake2b(digest_size=16)
-    t0 = perf_counter()
-    for step in range(1, steps + 1):
-        t = step * 0.25
-        sim.schedule_at(t, lambda: None)
-        sim.run(until=t)
-        for k in range(4):
-            digest.update(world.neighbors((step * 4 + k) % n).tobytes())
-        for k in range(2):
-            digest.update(world.hops_from(hot[(step * 2 + k) % len(hot)]).tobytes())
-    wall = perf_counter() - t0
-    return wall, digest.hexdigest(), world
-
-
-def bench_topology_refresh(
-    n: int,
-    *,
-    duration: float = 20.0,
-    seed: int = 1,
-    lane: str = "delta",
-    repeats: int = 1,
-) -> Dict[str, Any]:
-    """Topology refresh + query workload on one snapshot lane."""
-    walls = []
-    fingerprint = ""
-    world: Optional[World] = None
-    for _ in range(max(1, repeats)):
-        wall, fingerprint, world = _refresh_workload(n, duration, seed, lane)
-        walls.append(wall)
-    assert world is not None
-    topo = world.topology
-    return {
-        "name": "topology_refresh",
-        "params": {
-            "n": n,
-            "duration": duration,
-            "seed": seed,
-            "lane": lane,
-            "topology": type(topo).name,
-            "fingerprint": fingerprint,
-        },
-        **_spread(walls),
-        "rebuilds": topo.rebuilds,
-        "delta_rebuilds": topo.delta_rebuilds,
-        "moved_nodes": topo.moved_nodes,
-        "dist_cache_hits": topo.dist_cache_hits,
-        "csr_builds": getattr(topo, "csr_builds", 0),
-        "kinetic_skips": topo.kinetic_skips,
-        "kinetic_refreshes": topo.kinetic_refreshes,
-        "horizon_recomputes": topo.horizon_recomputes,
-    }
-
-
-#: Refresh lanes compared by :func:`compare_topology_refresh`, slowest
-#: (reference) first.
-REFRESH_BENCH_LANES: Tuple[str, ...] = ("full", "delta", "predictive")
-
-
-def compare_topology_refresh(
-    n: int,
-    *,
-    duration: float = 20.0,
-    seeds: Sequence[int] = EQUIVALENCE_SEEDS,
-    repeats: int = 1,
-) -> Dict[str, Any]:
-    """Predictive vs delta vs full-rebuild lanes on the same query stream.
-
-    Wall clock comes from per-lane timed runs (best of ``repeats``); on
-    top of that, every lane re-runs over ``seeds`` and the blake2b
-    fingerprints of every query answer (neighbor sets + BFS vectors at
-    every 0.25 s quantum) must match exactly across all three lanes.
-    """
-    lanes = {
-        lane: bench_topology_refresh(
-            n, duration=duration, seed=seeds[0], lane=lane, repeats=repeats
-        )
-        for lane in REFRESH_BENCH_LANES
-    }
-    reference_fp = lanes["full"]["params"]["fingerprint"]
-    identical = all(
-        r["params"]["fingerprint"] == reference_fp for r in lanes.values()
-    )
-    checked = [int(seeds[0])]
-    for seed in seeds[1:]:
-        fps = {
-            lane: _refresh_workload(n, duration, seed, lane)[1]
-            for lane in REFRESH_BENCH_LANES
-        }
-        if len(set(fps.values())) != 1:
-            identical = False
-        checked.append(int(seed))
-    wall_full = lanes["full"]["wall_seconds"]
-
-    def _speedup(lane: str) -> float:
-        wall = lanes[lane]["wall_seconds"]
-        return wall_full / wall if wall > 0 else float("inf")
-
-    return {
-        "name": "topology_refresh",
-        "n": n,
-        **lanes,
-        # ``speedup`` keeps its historical meaning (delta vs full) so
-        # archived documents stay comparable; the predictive lane gets
-        # its own ratio.
-        "speedup": _speedup("delta"),
-        "speedup_predictive": _speedup("predictive"),
-        "semantically_identical": identical,
-        "seeds_checked": checked,
-    }
-
-
 def _metrics_graph(n: int, seed: int):
     """Static RGG at harvest density: CSR arrays + the same graph in nx.
 
@@ -982,221 +817,6 @@ def compare_metrics_kernels(
         "speedup": wall_nx / wall_np if wall_np > 0 else float("inf"),
         "semantically_identical": bool(raw["identical"]),
         "seeds_checked": [int(seed)],
-    }
-
-
-#: Edge swaps per churn interval of the analytics_plane workload --
-#: fixed as n grows (a node's neighborhood churn rate does not scale
-#: with network size), which is what makes flat per-interval harvest
-#: cost achievable at all.
-ANALYTICS_CHURN_SWAPS = 24
-
-#: Interval ladder endpoints of the analytics_plane flatness claim.
-ANALYTICS_SMALL_N = 600
-ANALYTICS_LARGE_N = 10_000
-
-
-def _analytics_frames(
-    n: int, seed: int, intervals: int, swaps: int = ANALYTICS_CHURN_SWAPS
-):
-    """Precomputed churn timeline: (indptr, indices, added, removed) per step.
-
-    Starts from the harvest-density RGG of :func:`_metrics_graph` and
-    applies ``swaps`` random edge removals + ``swaps`` random non-edge
-    additions per interval (deterministic in ``seed``).  The CSR
-    rebuilds happen *here*, outside any timed region -- in production
-    the topology layer already owns the CSR; the engine's cost is what
-    the bench isolates.
-    """
-    _, _, g = _metrics_graph(n, seed)
-    rng = np.random.default_rng(seed + 7000)
-    indptr, indices, _ = graph_csr(g)
-    frames = [(indptr, indices, None, None)]
-    for _ in range(intervals):
-        edges = list(g.edges)
-        removed = [edges[i] for i in rng.permutation(len(edges))[:swaps]]
-        for u, v in removed:
-            g.remove_edge(u, v)
-        added = []
-        while len(added) < swaps:
-            u, v = (int(x) for x in rng.integers(n, size=2))
-            if u != v and not g.has_edge(u, v):
-                g.add_edge(u, v)
-                added.append((u, v))
-        indptr, indices, _ = graph_csr(g)
-        frames.append((indptr, indices, added, removed))
-    return frames
-
-
-def _drive_harvests(engine: AnalyticsEngine, frames, *, incremental: bool):
-    """One pass over the churn timeline; returns (wall, bundles).
-
-    The initial full build (frame 0) is untimed on both lanes -- it is
-    a once-per-scenario cost, and the rung measures the steady-state
-    per-interval harvest.
-    """
-    if incremental:
-        engine.harvest(frames[0][0], frames[0][1], key="bench", epoch=0)
-    else:
-        engine.harvest(frames[0][0], frames[0][1])
-    bundles = []
-    t0 = perf_counter()
-    for i, (indptr, indices, added, removed) in enumerate(frames[1:], start=1):
-        if incremental:
-            bundles.append(
-                engine.harvest(
-                    indptr, indices, key="bench", epoch=i, added=added, removed=removed
-                )
-            )
-        else:
-            bundles.append(engine.harvest(indptr, indices))
-    return perf_counter() - t0, bundles
-
-
-def bench_analytics_plane(
-    n: int,
-    *,
-    intervals: int = 40,
-    seed: int = 1,
-    mode: str = "incremental",
-    repeats: int = 1,
-    swaps: int = ANALYTICS_CHURN_SWAPS,
-) -> Dict[str, Any]:
-    """Per-interval harvest cost of one analytics maintenance lane."""
-    frames = _analytics_frames(n, seed, intervals, swaps=swaps)
-    incremental = mode == "incremental"
-    walls = []
-    engine = None
-    for _ in range(max(1, repeats)):
-        engine = AnalyticsEngine(mode=mode, registry=Registry())
-        wall, _ = _drive_harvests(engine, frames, incremental=incremental)
-        walls.append(wall)
-    assert engine is not None
-    reg = engine.registry
-
-    def counter(name: str) -> float:
-        return float(reg.counter(f"analytics.{name}", layer="metrics").value)
-
-    return {
-        "name": "analytics_plane",
-        "params": {
-            "n": n,
-            "intervals": intervals,
-            "seed": seed,
-            "lane": mode,
-            "swaps": swaps,
-        },
-        **_spread(walls),
-        "wall_per_interval": min(walls) / intervals,
-        "incremental_hits": counter("incremental_hits"),
-        "full_recomputes": counter("full_recomputes"),
-        "label_rebuilds": counter("label_rebuilds"),
-        "delta_edges": counter("delta_edges"),
-    }
-
-
-def compare_analytics_plane(
-    n_small: int = ANALYTICS_SMALL_N,
-    n_large: int = ANALYTICS_LARGE_N,
-    *,
-    intervals: int = 40,
-    seeds: Sequence[int] = EQUIVALENCE_SEEDS,
-    repeats: int = 1,
-    swaps: int = ANALYTICS_CHURN_SWAPS,
-) -> Dict[str, Any]:
-    """The analytics-plane record: flatness, lane speedup, exactness.
-
-    * ``growth_incremental`` / ``growth_full`` -- per-interval harvest
-      cost at ``n_large`` over ``n_small`` for each maintenance lane
-      (the tentpole claim is ``growth_incremental <= 1.3``);
-    * ``speedup`` -- full-lane wall over incremental-lane wall at
-      ``n_large``;
-    * ``cpl_speedup_parallel`` -- serial over parallel wall for the
-      characteristic path length BFS at ``n_large``;
-    * ``semantically_identical`` -- over ``seeds``, every per-interval
-      harvest bundle and the final CPL from an *incremental+parallel*
-      engine equal the *full+serial* reference exactly (checked at
-      ``n_small`` so the identity sweep stays minutes-free; the lanes
-      have no size-dependent code paths).
-    """
-    lanes: Dict[int, Dict[str, Dict[str, Any]]] = {}
-    for n in (n_small, n_large):
-        lanes[n] = {
-            mode: bench_analytics_plane(
-                n,
-                intervals=intervals,
-                seed=seeds[0],
-                mode=mode,
-                repeats=repeats,
-                swaps=swaps,
-            )
-            for mode in ("incremental", "full")
-        }
-
-    def per_interval(n: int, mode: str) -> float:
-        return lanes[n][mode]["wall_per_interval"]
-
-    identical = True
-    checked = []
-    for seed in seeds:
-        frames = _analytics_frames(n_small, seed, min(intervals, 10), swaps=swaps)
-        with AnalyticsEngine(
-            mode="incremental", execution="parallel", chunk=64, registry=Registry()
-        ) as fast:
-            reference = AnalyticsEngine(mode="full", registry=Registry())
-            _, fast_bundles = _drive_harvests(fast, frames, incremental=True)
-            _, ref_bundles = _drive_harvests(reference, frames, incremental=False)
-            if fast_bundles != ref_bundles:
-                identical = False
-            indptr, indices = frames[-1][0], frames[-1][1]
-            cpl_fast = fast.characteristic_path_length_csr(indptr, indices)
-            cpl_ref = reference.characteristic_path_length_csr(indptr, indices)
-            if not (cpl_fast == cpl_ref or (cpl_fast != cpl_fast and cpl_ref != cpl_ref)):
-                identical = False
-        checked.append(int(seed))
-
-    indptr, indices = _analytics_frames(n_large, seeds[0], 0)[0][:2]
-    t0 = perf_counter()
-    serial_cpl = AnalyticsEngine(mode="full", registry=Registry())
-    cpl_s = serial_cpl.characteristic_path_length_csr(indptr, indices)
-    wall_cpl_serial = perf_counter() - t0
-    with AnalyticsEngine(
-        mode="full", execution="parallel", registry=Registry()
-    ) as par:
-        t0 = perf_counter()
-        cpl_p = par.characteristic_path_length_csr(indptr, indices)
-        wall_cpl_parallel = perf_counter() - t0
-    if not (cpl_s == cpl_p or (cpl_s != cpl_s and cpl_p != cpl_p)):
-        identical = False
-
-    wall_full = lanes[n_large]["full"]["wall_seconds"]
-    wall_incr = lanes[n_large]["incremental"]["wall_seconds"]
-    return {
-        "name": "analytics_plane",
-        "n": n_large,
-        "n_small": n_small,
-        "incremental_small": lanes[n_small]["incremental"],
-        "full_small": lanes[n_small]["full"],
-        "incremental": lanes[n_large]["incremental"],
-        "full": lanes[n_large]["full"],
-        "speedup": wall_full / wall_incr if wall_incr > 0 else float("inf"),
-        "growth_incremental": (
-            per_interval(n_large, "incremental") / per_interval(n_small, "incremental")
-            if per_interval(n_small, "incremental") > 0
-            else float("inf")
-        ),
-        "growth_full": (
-            per_interval(n_large, "full") / per_interval(n_small, "full")
-            if per_interval(n_small, "full") > 0
-            else float("inf")
-        ),
-        "cpl_speedup_parallel": (
-            wall_cpl_serial / wall_cpl_parallel
-            if wall_cpl_parallel > 0
-            else float("inf")
-        ),
-        "semantically_identical": identical,
-        "seeds_checked": checked,
     }
 
 
@@ -1497,28 +1117,6 @@ def run_suite(
             {k: v for k, v in cmp_.items() if k not in ("heap", "calendar")}
         )
 
-    refresh_duration = 5.0 if quick else 20.0
-    refresh_sizes = list(sizes)
-    if metro:
-        # Metro-scale refresh tier: the AIMD proof gate and the kinetic
-        # mover-only lane are sized for exactly this regime (the n=2000
-        # ladder rung is where the plain delta lane stopped paying off).
-        refresh_sizes.append(int(metro))
-    for n in refresh_sizes:
-        tier_duration = refresh_duration if n in sizes else min(refresh_duration, 10.0)
-        say(f"topology_refresh: n={n} duration={tier_duration:.1f}s (3 lanes)")
-        cmp_ = compare_topology_refresh(
-            n,
-            duration=tier_duration,
-            seeds=seeds if n in sizes else seeds[:1],
-            repeats=repeats if n in sizes else 1,
-        )
-        for lane in REFRESH_BENCH_LANES:
-            results.append(cmp_[lane])
-        comparisons.append(
-            {k: v for k, v in cmp_.items() if k not in REFRESH_BENCH_LANES}
-        )
-
     for n in sizes:
         say(f"metrics_kernels: n={n} (networkx vs numpy)")
         cmp_ = compare_metrics_kernels(n, repeats=repeats)
@@ -1527,32 +1125,6 @@ def run_suite(
         comparisons.append(
             {k: v for k, v in cmp_.items() if k not in ("networkx", "numpy")}
         )
-
-    # The flatness ladder runs 600 -> metro on the full suite; the CI
-    # smoke keeps the same shape at capped sizes (record-only there).
-    if quick:
-        # Half-rate churn keeps the small tier under the delta-size gate
-        # (at n = 150 a 48-edge delta would trip the full-rebuild path).
-        a_small, a_large, a_intervals, a_swaps = max(sizes), 600, 10, 12
-    else:
-        a_small = ANALYTICS_SMALL_N
-        a_large = int(metro) if metro else max(sizes)
-        a_intervals, a_swaps = 40, ANALYTICS_CHURN_SWAPS
-    say(
-        f"analytics_plane: n={a_small}->{a_large} "
-        f"({a_intervals} churn intervals, both maintenance lanes)"
-    )
-    cmp_ = compare_analytics_plane(
-        a_small,
-        a_large,
-        intervals=a_intervals,
-        seeds=seeds,
-        repeats=repeats,
-        swaps=a_swaps,
-    )
-    for lane_key in ("incremental_small", "full_small", "incremental", "full"):
-        results.append(cmp_.pop(lane_key))
-    comparisons.append(cmp_)
 
     # experiment_plane: the ablation ladder's first rung -- one
     # orchestrated figure pass per suppression policy, three lanes each.
@@ -1653,8 +1225,8 @@ def validate_bench_dict(d: Dict[str, Any], *, path: str = "bench") -> None:
         if not isinstance(c.get("name"), str):
             _fail(f"{cpath}.name", "expected str")
         _number(c.get("n"), f"{cpath}.n")
-        # Delivery-lane comparisons carry the heap-push ratio; refresh
-        # and metric-kernel comparisons are wall-clock only.
+        # Delivery-lane comparisons carry the heap-push ratio;
+        # metric-kernel comparisons are wall-clock only.
         if "push_reduction" in c:
             _number(c["push_reduction"], f"{cpath}.push_reduction")
         _number(c.get("speedup"), f"{cpath}.speedup")

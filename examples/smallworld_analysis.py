@@ -12,6 +12,7 @@ Run: ``python examples/smallworld_analysis.py``
 """
 
 from repro.core import P2pConfig
+from repro.metrics import AnalyticsEngine
 from repro.scenarios import ScenarioConfig, build_scenario
 
 import os
@@ -40,12 +41,11 @@ def overlay_timeline(algorithm: str, *, snapshots=None):
     )
     s = build_scenario(cfg)
     s.overlay.start(queries=False)
+    engine = AnalyticsEngine(registry=s.registry)
     rows = []
     for t in snapshots:
         s.sim.run(until=t)
-        # The scenario's engine applies edge deltas between snapshots
-        # instead of recomputing the overlay metrics from scratch.
-        rows.append((t, s.analytics.smallworld_stats(s.overlay.graph(), key="overlay")))
+        rows.append((t, engine.smallworld_stats(s.overlay.graph())))
     return rows
 
 

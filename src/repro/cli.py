@@ -98,10 +98,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         duration=args.duration,
         seed=args.seed,
         topology=args.topology,
-        topology_refresh=args.topology_refresh,
         queue=args.queue,
-        analytics_exec=args.analytics,
-        analytics_mode=args.analytics_mode,
         rebroadcast=args.rebroadcast,
         query_policy=args.query_policy,
     )
@@ -182,7 +179,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             seed=args.seed,
             topology=args.topology,
-            topology_refresh=args.topology_refresh,
             queue=args.queue,
         )
     )
@@ -224,12 +220,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         routing=args.routing,
         seed=args.seed,
         topology=args.topology,
-        topology_refresh=args.topology_refresh,
         obs_interval=args.obs_interval,
         queue=args.queue,
-        analytics_exec=args.analytics,
-        analytics_mode=args.analytics_mode,
-        analytics_processes=args.processes,
         rebroadcast=args.rebroadcast,
         query_policy=args.query_policy,
     )
@@ -313,24 +305,6 @@ def _add_processes_arg(parser: argparse.ArgumentParser, what: str) -> None:
     )
 
 
-def _add_analytics_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--analytics",
-        choices=("serial", "parallel"),
-        default="serial",
-        help="analytics execution lane: serial (default) or BFS sharded "
-        "over worker processes (exactly equal results)",
-    )
-    parser.add_argument(
-        "--analytics-mode",
-        choices=("incremental", "full"),
-        default="incremental",
-        help="analytics maintenance lane: epoch-keyed incremental deltas "
-        "(default) or the stateless full-recompute reference lane "
-        "(exactly equal results)",
-    )
-
-
 def _add_policy_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--rebroadcast",
@@ -375,14 +349,6 @@ def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
         choices=("dense", "sparse", "auto"),
         default="auto",
         help="physical-topology backend (auto: sparse at large n)",
-    )
-    parser.add_argument(
-        "--topology-refresh",
-        choices=("predictive", "delta", "full"),
-        default="predictive",
-        help="snapshot refresh lane: predictive kinetic horizons "
-        "(default), incremental delta diffing, or the full-rebuild "
-        "reference lane (all bit-identical)",
     )
     parser.add_argument(
         "--queue",
@@ -441,9 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=0)
     _add_topology_arg(run)
-    _add_analytics_args(run)
     _add_policy_args(run)
-    _add_processes_arg(run, "the parallel analytics lane")
     run.add_argument("--json", action="store_true", help="emit the full RunResult as JSON")
     run.add_argument(
         "--stats",
@@ -470,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--reps", type=int, default=1, help="repetitions per point")
     _add_topology_arg(sweep)
-    _add_analytics_args(sweep)
     _add_policy_args(sweep)
     _add_processes_arg(sweep, "grid points (one simulation each)")
     sweep.add_argument("--json", action="store_true", help="emit point results as JSON")

@@ -25,7 +25,7 @@ import numpy as np
 __all__ = ["Area", "MobilityModel", "NEVER_THRESHOLD"]
 
 #: Segment end times at or beyond this are treated as "never expires"
-#: (static nodes park on a pause of duration 1e12): their kinetic
+#: (static nodes park on a pause of duration 1e12): their change
 #: horizon is infinite instead of a bogus far-future wakeup.
 NEVER_THRESHOLD = 1e10
 
@@ -185,8 +185,8 @@ class MobilityModel(abc.ABC):
         Returns a freshly-allocated ``(len(ids), 2)`` array that is
         bitwise-identical to ``positions(t)[ids]``: the same elementwise
         IEEE operations are evaluated on the selected rows, so callers
-        that track positions incrementally (the predictive topology
-        lane) see exactly the floats the full evaluation would produce.
+        that track positions incrementally see exactly the floats the
+        full evaluation would produce.
         """
         self._refresh(t)
         ids = np.asarray(ids, dtype=np.int64)
@@ -203,8 +203,7 @@ class MobilityModel(abc.ABC):
 
         When ``t`` is given, expired segments are rolled forward first so
         every returned segment covers ``t``.  This is the contract
-        surface the kinetic horizon math (and its invariant tests) rely
-        on: within ``[t0, t1]`` the node is exactly at
+        surface the horizon math (and its invariant tests) rely on: within ``[t0, t1]`` the node is exactly at
         ``origin + clip((t - t0)/(t1 - t0), 0, 1) * (dest - origin)``.
         """
         if t is not None:
@@ -217,7 +216,7 @@ class MobilityModel(abc.ABC):
         )
 
     # ------------------------------------------------------------------
-    # kinetic horizons (predictive topology lane)
+    # segment horizons
     # ------------------------------------------------------------------
     def next_change_horizon(
         self,

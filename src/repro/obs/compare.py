@@ -55,12 +55,11 @@ SCHEDULER_COST_METRICS: Tuple[str, ...] = (
     "kernel.calq_occupancy",
 )
 
-#: Metric names that measure topology *cache effort*, not connectivity.
-#: The delta and predictive refresh lanes legitimately rebuild less,
-#: keep the BFS distance cache warm across refreshes, skip refreshes
-#: kinetically and build fewer CSRs than the full-rebuild reference
-#: lane, so these counters (and the proof-gate gauge) differ between
-#: lanes while every query answer stays bit-identical.
+#: Metric names that measure topology *cache effort*, not connectivity:
+#: how often a snapshot was rebuilt or diffed, how many distance-cache
+#: hits and CSR builds it took.  The kinetic counters and the proof-gate
+#: gauge belong to retired refresh lanes; they stay listed so archived
+#: runs that carry them still classify them as cost.
 TOPOLOGY_COST_METRICS: Tuple[str, ...] = (
     "topology.rebuilds",
     "topology.delta_rebuilds",
@@ -97,10 +96,9 @@ SUPPRESSION_COST_METRICS: Tuple[str, ...] = (
 _GRAPHFAST_PREFIX = "graphfast."
 
 #: Prefix covering the analytics-engine counters
-#: (:mod:`repro.metrics.analytics`): cache hits, incremental deltas,
-#: full recomputes and BFS shard counts measure which analytics *lane*
-#: (serial|parallel x full|incremental) produced the metrics -- the
-#: metric values themselves are exactly equal between lanes.
+#: of the retired analytics lanes (cache hits, incremental deltas, full
+#: recomputes, BFS shard counts), still found in archived runs: they
+#: measured which lane produced the metrics, never the metric values.
 _ANALYTICS_PREFIX = "analytics."
 
 

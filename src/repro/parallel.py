@@ -1,12 +1,10 @@
 """Shared process-pool sizing helpers.
 
-Two subsystems fan work out over a ``ProcessPoolExecutor``: the
-experiment sweep runner (:mod:`repro.experiments.sweeps`, one grid
-point per task) and the analytics engine
-(:mod:`repro.metrics.analytics`, one BFS source shard per task).  Both
-used to size their pools and chunks ad hoc; this module is the single
-definition of the ``--processes`` flag semantics and the chunking
-policy, so the CLI knobs behave identically everywhere.
+The experiment fan-out (:mod:`repro.experiments.sweeps` and the
+executor behind ``reproduce``) runs one scenario per task on a
+``ProcessPoolExecutor``.  This module is the single definition of the
+``--processes`` flag semantics and the chunking policy, so the CLI
+knobs behave identically everywhere.
 
 Nothing here creates a pool or touches simulation state -- these are
 pure sizing functions, trivially unit-testable.
@@ -15,9 +13,9 @@ pure sizing functions, trivially unit-testable.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Tuple
+from typing import Optional
 
-__all__ = ["resolve_processes", "default_chunksize", "shard_ranges"]
+__all__ = ["resolve_processes", "default_chunksize"]
 
 
 def resolve_processes(processes: Optional[int] = None) -> int:
@@ -26,7 +24,7 @@ def resolve_processes(processes: Optional[int] = None) -> int:
     ``None`` means "use every core" (``os.cpu_count()``, floor 1);
     explicit values must be >= 1.  Every pool in the package sizes
     itself through this one function so the flag means the same thing
-    on ``sweep`` and on the analytics engine.
+    on ``sweep`` and on ``reproduce``.
     """
     if processes is None:
         return max(1, os.cpu_count() or 1)
@@ -40,30 +38,9 @@ def default_chunksize(n_jobs: int, processes: int) -> int:
     """Tasks submitted per worker round trip: ``ceil(n/4p)`` capped at 32.
 
     Large job lists amortize pickling instead of shipping one task at a
-    time, while ~4 rounds per worker keep the tail load-balanced.  This
-    is the sweep runner's historical policy, now shared with the
-    analytics engine's shard maps.
+    time, while ~4 rounds per worker keep the tail load-balanced.
     """
     if n_jobs < 0:
         raise ValueError(f"n_jobs must be >= 0, got {n_jobs}")
     return max(1, min(32, -(-n_jobs // (4 * max(1, processes)))))
 
-
-def shard_ranges(
-    n_items: int, processes: int, *, granularity: int = 1, rounds: int = 4
-) -> List[Tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` shards covering ``range(n_items)``.
-
-    Aims for ``rounds`` shards per worker (load balance without
-    oversharding); each shard size is rounded up to a multiple of
-    ``granularity`` so shards align with the BFS chunk width.  The
-    partition is a pure function of its arguments -- workers processing
-    the shards in order reproduce the serial iteration exactly.
-    """
-    if granularity < 1:
-        raise ValueError(f"granularity must be >= 1, got {granularity}")
-    if n_items <= 0:
-        return []
-    target = -(-n_items // max(1, processes * rounds))
-    size = -(-target // granularity) * granularity
-    return [(lo, min(lo + size, n_items)) for lo in range(0, n_items, size)]

@@ -14,7 +14,6 @@ from ..aodv.protocol import AodvRouter
 from ..core.overlay import OverlayNetwork
 from ..dsdv.protocol import DsdvRouter
 from ..dsr.protocol import DsrRouter
-from ..metrics.analytics import AnalyticsEngine, set_world_engine
 from ..metrics.collector import MetricsCollector
 from ..metrics.lifetimes import LifetimeLog
 from ..mobility import (
@@ -59,9 +58,6 @@ class Simulation:
     lifetimes: LifetimeLog
     #: shared observability registry (same object every layer reports to)
     registry: Registry = field(default_factory=Registry)
-    #: unified analytics plane (lanes picked by the config); the runner
-    #: harvests through this and the world-level helpers resolve to it
-    analytics: Optional[AnalyticsEngine] = None
     #: periodic time-series sampler; None when ``cfg.obs_interval == 0``
     sampler: Optional[Sampler] = None
     #: per-run provenance record
@@ -126,7 +122,6 @@ def build_scenario(cfg: ScenarioConfig) -> Simulation:
         energy=EnergyModel(cfg.num_nodes, capacity=cfg.energy_capacity),
         snapshot_interval=cfg.snapshot_interval,
         topology=cfg.resolved_topology,
-        topology_refresh=cfg.topology_refresh,
     )
     if cfg.mac == "csma":
         from ..net.mac import CsmaChannel
@@ -183,18 +178,6 @@ def build_scenario(cfg: ScenarioConfig) -> Simulation:
             "p2p.received", fn=(lambda f=fam: metrics.total(f)), family=fam
         )
 
-    # One analytics engine per scenario: the runner's harvest and any
-    # engine_for_world(world) lookup share its epoch-keyed state.
-    analytics = set_world_engine(
-        world,
-        AnalyticsEngine(
-            mode=cfg.analytics_mode,
-            execution=cfg.analytics_exec,
-            processes=cfg.analytics_processes,
-            registry=registry,
-        ),
-    )
-
     sampler = (
         Sampler(sim, registry, cfg.obs_interval) if cfg.obs_interval > 0 else None
     )
@@ -212,7 +195,6 @@ def build_scenario(cfg: ScenarioConfig) -> Simulation:
         members=members,
         lifetimes=lifetimes,
         registry=registry,
-        analytics=analytics,
         sampler=sampler,
         manifest=manifest,
     )

@@ -172,27 +172,23 @@ class RunResult:
 def harvest(simulation: Simulation) -> RunResult:
     """Extract a RunResult from a finished simulation.
 
-    All graph/collector analytics go through the simulation's
-    :class:`~repro.metrics.analytics.AnalyticsEngine` (lanes picked by
-    the config); results are exactly equal on every lane combination.
+    All graph/collector analytics go through a stateless
+    :class:`~repro.metrics.analytics.AnalyticsEngine` reporting to the
+    simulation's registry.
     """
     cfg = simulation.config
     metrics = simulation.metrics
     members = simulation.members
     records = simulation.overlay.query_records()
     registry = simulation.registry
-    engine = simulation.analytics
-    if engine is None:  # hand-built Simulation without an engine
-        engine = AnalyticsEngine(registry=registry)
+    engine = AnalyticsEngine(registry=registry)
     return RunResult(
         config=cfg,
         members=members,
         sorted_received=engine.message_curves(metrics, members),
         totals=engine.message_totals(metrics),
         file_stats=per_file_stats(records, cfg.num_files),
-        overlay_stats=engine.smallworld_stats(
-            simulation.overlay.graph(), key="overlay"
-        ),
+        overlay_stats=engine.smallworld_stats(simulation.overlay.graph()),
         energy=simulation.world.energy.consumed.copy(),
         num_queries=len(records),
         events=simulation.sim.events_dispatched,
@@ -219,8 +215,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         simulation.run()
     with registry.timed("scenario.harvest"):
         result = harvest(simulation)
-    if simulation.analytics is not None:
-        simulation.analytics.close()  # release the BFS worker pool, if any
     # Wall sections accumulated during harvest must reach the result too.
     result.wall = registry.wall_times()
     return result

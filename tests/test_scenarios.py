@@ -1,8 +1,12 @@
 """Tests for scenario config, builder and runner."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.scenarios import runner
 from repro.scenarios import (
     ScenarioConfig,
     build_scenario,
@@ -130,3 +134,20 @@ class TestRunner:
         )
         assert res.num_queries == 0
         assert res.totals["query"] == 0
+
+    def test_finished_runs_are_collectable(self, monkeypatch):
+        """Nothing module-level may keep a finished run's world alive."""
+        worlds = []
+        build = runner.build_scenario
+
+        def tracking_build(cfg):
+            simulation = build(cfg)
+            worlds.append(weakref.ref(simulation.world))
+            return simulation
+
+        monkeypatch.setattr(runner, "build_scenario", tracking_build)
+        for seed in (1, 2):
+            run_scenario(ScenarioConfig(num_nodes=40, duration=20.0, seed=seed))
+        gc.collect()
+        assert len(worlds) == 2
+        assert worlds[0]() is None
